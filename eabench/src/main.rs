@@ -318,6 +318,11 @@ fn main() {
         eprintln!("error: cannot create {}: {e}", args.work.display());
         exit(1);
     }
+    // A caught panic is one failed operation, reported with its message.
+    // The default hook also prints a backtrace when RUST_BACKTRACE is set,
+    // and symbolising it adds up to 15 MiB of resident memory that
+    // `peak_rss_mb` would charge to the program.
+    std::panic::set_hook(Box::new(|info| eprintln!("{info}")));
     let mut tr = Tracer::new(args.trace);
     let mut out = Outcome::default();
     out.stamp("workload", &args.workload);
