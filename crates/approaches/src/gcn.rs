@@ -5,7 +5,7 @@
 use crate::common::{ApproachOutput, EpochStats, RunConfig};
 use crate::engine::{EpochHooks, RunContext};
 use openea_align::Metric;
-use openea_autodiff::{Graph, SparseMatrix, Tensor};
+use openea_autodiff::{Graph, SparseMatrix, Tensor, Var};
 use openea_core::{AlignedPair, KgPair};
 use openea_runtime::rng::{Rng, SmallRng};
 
@@ -266,34 +266,14 @@ fn near_identity<R: Rng>(dim: usize, rng: &mut R) -> Tensor {
     t
 }
 
-fn forward(
-    g: &mut Graph,
-    adj: usize,
-    x: openea_autodiff::Var,
-    w1: openea_autodiff::Var,
-    w2: openea_autodiff::Var,
-    wg: Option<openea_autodiff::Var>,
-) -> openea_autodiff::Var {
+fn forward(g: &mut Graph, adj: usize, x: Var, w1: Var, w2: Var, wg: Option<Var>) -> Var {
     // Layer 1: H₁ = tanh(Â·X·W₁), optionally gated with the input
     // (highway): H₁' = g⊙X + (1−g)⊙H₁ with g = σ(X·W_g).
     let xw = g.matmul(x, w1);
     let prop = g.spmm(adj, xw);
     let h1 = g.tanh(prop);
     let h1 = match wg {
-        Some(wg) => {
-            let gate_in = g.matmul(x, wg);
-            let gate = g.sigmoid(gate_in);
-            let keep = g.mul(gate, x);
-            let neg_gate = g.scale(gate, -1.0);
-            let one_t = g.leaf(Tensor::from_vec(
-                g.value(gate).rows,
-                g.value(gate).cols,
-                vec![1.0; g.value(gate).len()],
-            ));
-            let inv_gate = g.add(one_t, neg_gate);
-            let new = g.mul(inv_gate, h1);
-            g.add(keep, new)
-        }
+        Some(wg) => highway(g, x, wg, h1),
         None => h1,
     };
     // Layer 2: H₂ = Â·H₁·W₂ (linear output layer), gated with the input
@@ -302,22 +282,22 @@ fn forward(
     let hw = g.matmul(h1, w2);
     let h2 = g.spmm(adj, hw);
     match wg {
-        Some(wg) => {
-            let gate_in = g.matmul(x, wg);
-            let gate = g.sigmoid(gate_in);
-            let keep = g.mul(gate, x);
-            let neg_gate = g.scale(gate, -1.0);
-            let one_t = g.leaf(Tensor::from_vec(
-                g.value(gate).rows,
-                g.value(gate).cols,
-                vec![1.0; g.value(gate).len()],
-            ));
-            let inv_gate = g.add(one_t, neg_gate);
-            let new = g.mul(inv_gate, h2);
-            g.add(keep, new)
-        }
+        Some(wg) => highway(g, x, wg, h2),
         None => h2,
     }
+}
+
+/// The highway gate `g⊙X + (1−g)⊙H` with `g = σ(X·W_g)`.
+fn highway(g: &mut Graph, x: Var, wg: Var, h: Var) -> Var {
+    let gate_in = g.matmul(x, wg);
+    let gate = g.sigmoid(gate_in);
+    let keep = g.mul(gate, x);
+    let neg_gate = g.scale(gate, -1.0);
+    let (rows, cols) = (g.value(gate).rows, g.value(gate).cols);
+    let one_t = g.leaf(Tensor::from_vec(rows, cols, vec![1.0; rows * cols]));
+    let inv_gate = g.add(one_t, neg_gate);
+    let new = g.mul(inv_gate, h);
+    g.add(keep, new)
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! ```
 
 use crate::sparse::SparseMatrix;
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_grads, Tensor};
 
 /// Handle to a node on the tape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,7 +77,9 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    sparse: Vec<SparseMatrix>,
+    /// Constant sparse matrices, each beside its transpose (built once, for
+    /// the `spmm` backward pass).
+    sparse: Vec<(SparseMatrix, SparseMatrix)>,
 }
 
 impl Graph {
@@ -92,7 +94,8 @@ impl Graph {
 
     /// Registers a constant sparse matrix; returns its id for [`Graph::spmm`].
     pub fn add_sparse(&mut self, m: SparseMatrix) -> usize {
-        self.sparse.push(m);
+        let t = m.transpose();
+        self.sparse.push((m, t));
         self.sparse.len() - 1
     }
 
@@ -182,26 +185,12 @@ impl Graph {
 
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!(ta.cols, tb.rows, "matmul shape mismatch");
-        let mut out = Tensor::zeros(ta.rows, tb.cols);
-        for i in 0..ta.rows {
-            for k in 0..ta.cols {
-                let av = ta.get(i, k);
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = tb.row(k);
-                let orow = out.row_mut(i);
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
+        let out = ta.matmul(tb);
         self.push(out, Op::Matmul(a, b))
     }
 
     pub fn spmm(&mut self, sparse_id: usize, b: Var) -> Var {
-        let out = self.sparse[sparse_id].matmul(&self.nodes[b.0].value);
+        let out = self.sparse[sparse_id].0.spmm(&self.nodes[b.0].value);
         self.push(out, Op::Spmm(sparse_id, b))
     }
 
@@ -369,30 +358,32 @@ impl Graph {
         self.nodes[target.0].grad = Some(Tensor::scalar(1.0));
 
         for id in (0..=target.0).rev() {
-            let Some(g) = self.nodes[id].grad.clone() else {
+            // Taken out while its inputs accumulate (they all precede `id`),
+            // put back below.
+            let Some(g) = self.nodes[id].grad.take() else {
                 continue;
             };
             let op = self.nodes[id].op.clone();
             match op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
-                    self.accum(a, &g);
-                    self.accum(b, &g);
+                    self.accum_ref(a, &g);
+                    self.accum_ref(b, &g);
                 }
                 Op::AddRow(a, row) => {
-                    self.accum(a, &g);
+                    self.accum_ref(a, &g);
                     let mut rg = Tensor::zeros(1, g.cols);
                     for i in 0..g.rows {
                         for (o, &x) in rg.data.iter_mut().zip(g.row(i)) {
                             *o += x;
                         }
                     }
-                    self.accum(row, &rg);
+                    self.accum(row, rg);
                 }
                 Op::Sub(a, b) => {
-                    self.accum(a, &g);
+                    self.accum_ref(a, &g);
                     let neg = Tensor::from_vec(g.rows, g.cols, g.data.iter().map(|x| -x).collect());
-                    self.accum(b, &neg);
+                    self.accum(b, neg);
                 }
                 Op::Mul(a, b) => {
                     let ga = {
@@ -411,8 +402,8 @@ impl Graph {
                             g.data.iter().zip(&ta.data).map(|(x, y)| x * y).collect(),
                         )
                     };
-                    self.accum(a, &ga);
-                    self.accum(b, &gb);
+                    self.accum(a, ga);
+                    self.accum(b, gb);
                 }
                 Op::MulRow(a, row) => {
                     let (ga, gr) = {
@@ -428,51 +419,23 @@ impl Graph {
                         }
                         (ga, gr)
                     };
-                    self.accum(a, &ga);
-                    self.accum(row, &gr);
+                    self.accum(a, ga);
+                    self.accum(row, gr);
                 }
                 Op::Scale(a, s) => {
                     let ga =
                         Tensor::from_vec(g.rows, g.cols, g.data.iter().map(|x| x * s).collect());
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::Matmul(a, b) => {
                     // dA = g · Bᵀ ; dB = Aᵀ · g
-                    let (ga, gb) = {
-                        let ta = &self.nodes[a.0].value;
-                        let tb = &self.nodes[b.0].value;
-                        let mut ga = Tensor::zeros(ta.rows, ta.cols);
-                        for i in 0..ta.rows {
-                            for j in 0..tb.cols {
-                                let gv = g.get(i, j);
-                                if gv == 0.0 {
-                                    continue;
-                                }
-                                for k in 0..ta.cols {
-                                    ga.row_mut(i)[k] += gv * tb.get(k, j);
-                                }
-                            }
-                        }
-                        let mut gb = Tensor::zeros(tb.rows, tb.cols);
-                        for i in 0..ta.rows {
-                            for k in 0..ta.cols {
-                                let av = ta.get(i, k);
-                                if av == 0.0 {
-                                    continue;
-                                }
-                                for (o, &gv) in gb.row_mut(k).iter_mut().zip(g.row(i)) {
-                                    *o += av * gv;
-                                }
-                            }
-                        }
-                        (ga, gb)
-                    };
-                    self.accum(a, &ga);
-                    self.accum(b, &gb);
+                    let (ga, gb) = matmul_grads(&self.nodes[a.0].value, &self.nodes[b.0].value, &g);
+                    self.accum(a, ga);
+                    self.accum(b, gb);
                 }
                 Op::Spmm(s, b) => {
-                    let gb = self.sparse[s].matmul_t(&g);
-                    self.accum(b, &gb);
+                    let gb = self.sparse[s].1.spmm(&g);
+                    self.accum(b, gb);
                 }
                 Op::Gather(a, idx) => {
                     let ta_cols = self.nodes[a.0].value.cols;
@@ -483,7 +446,7 @@ impl Graph {
                             *o += x;
                         }
                     }
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::Sigmoid(a) => {
                     let y = &self.nodes[id].value;
@@ -496,7 +459,7 @@ impl Graph {
                             .map(|(gv, yv)| gv * yv * (1.0 - yv))
                             .collect(),
                     );
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::Tanh(a) => {
                     let y = &self.nodes[id].value;
@@ -509,7 +472,7 @@ impl Graph {
                             .map(|(gv, yv)| gv * (1.0 - yv * yv))
                             .collect(),
                     );
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::Relu(a) => {
                     let x = &self.nodes[a.0].value;
@@ -522,7 +485,7 @@ impl Graph {
                             .map(|(gv, xv)| if *xv > 0.0 { *gv } else { 0.0 })
                             .collect(),
                     );
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::Abs(a) => {
                     let x = &self.nodes[a.0].value;
@@ -535,18 +498,18 @@ impl Graph {
                             .map(|(gv, xv)| gv * xv.signum())
                             .collect(),
                     );
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::Sum(a) => {
                     let ta = &self.nodes[a.0].value;
                     let ga = Tensor::from_vec(ta.rows, ta.cols, vec![g.item(); ta.len()]);
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::Mean(a) => {
                     let ta = &self.nodes[a.0].value;
                     let v = g.item() / ta.len().max(1) as f32;
                     let ga = Tensor::from_vec(ta.rows, ta.cols, vec![v; ta.len()]);
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::SumRows(a) => {
                     let ta = &self.nodes[a.0].value;
@@ -555,7 +518,7 @@ impl Graph {
                         let gv = g.data[i];
                         ga.row_mut(i).fill(gv);
                     }
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::Concat(a, b) => {
                     let ca = self.nodes[a.0].value.cols;
@@ -566,13 +529,13 @@ impl Graph {
                         ga.row_mut(i).copy_from_slice(&g.row(i)[..ca]);
                         gb.row_mut(i).copy_from_slice(&g.row(i)[ca..]);
                     }
-                    self.accum(a, &ga);
-                    self.accum(b, &gb);
+                    self.accum(a, ga);
+                    self.accum(b, gb);
                 }
                 Op::Reshape(a) => {
                     let ta = &self.nodes[a.0].value;
                     let ga = Tensor::from_vec(ta.rows, ta.cols, g.data.clone());
-                    self.accum(a, &ga);
+                    self.accum(a, ga);
                 }
                 Op::SoftmaxCe(logits, targets) => {
                     let tl = &self.nodes[logits.0].value;
@@ -589,7 +552,7 @@ impl Graph {
                             grow[j] = scale * (e / z - if j == t as usize { 1.0 } else { 0.0 });
                         }
                     }
-                    self.accum(logits, &gl);
+                    self.accum(logits, gl);
                 }
                 Op::Conv2d {
                     input,
@@ -631,23 +594,36 @@ impl Graph {
                         }
                         (gi, gf)
                     };
-                    self.accum(input, &gi);
-                    self.accum(filters, &gf);
+                    self.accum(input, gi);
+                    self.accum(filters, gf);
                 }
             }
+            self.nodes[id].grad = Some(g);
         }
     }
 
-    fn accum(&mut self, v: Var, g: &Tensor) {
+    /// Adds `g` into `v`'s gradient, or makes it the gradient.
+    fn accum(&mut self, v: Var, g: Tensor) {
         let node = &mut self.nodes[v.0];
         match &mut node.grad {
-            Some(existing) => {
-                for (e, &x) in existing.data.iter_mut().zip(&g.data) {
-                    *e += x;
-                }
-            }
+            Some(existing) => add_into(existing, &g),
+            None => node.grad = Some(g),
+        }
+    }
+
+    /// [`Graph::accum`] for a gradient that is still needed afterwards.
+    fn accum_ref(&mut self, v: Var, g: &Tensor) {
+        let node = &mut self.nodes[v.0];
+        match &mut node.grad {
+            Some(existing) => add_into(existing, g),
             None => node.grad = Some(g.clone()),
         }
+    }
+}
+
+fn add_into(acc: &mut Tensor, g: &Tensor) {
+    for (e, &x) in acc.data.iter_mut().zip(&g.data) {
+        *e += x;
     }
 }
 

@@ -99,7 +99,54 @@ impl SparseMatrix {
         self.values.len()
     }
 
-    /// Dense product `self · m`.
+    /// `selfᵀ`, with each row's entries in ascending source-row order: the
+    /// order [`SparseMatrix::matmul_t`] scatters them in, so
+    /// `transpose().spmm(m)` is bit-identical to `matmul_t(m)`.
+    pub fn transpose(&self) -> SparseMatrix {
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.cols {
+            row_ptr[c + 1] += row_ptr[c];
+        }
+        let mut next = row_ptr[..self.cols].to_vec();
+        let mut col_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
+        for r in 0..self.rows {
+            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
+                let slot = &mut next[self.col_idx[k] as usize];
+                col_idx[*slot] = r as u32;
+                values[*slot] = self.values[k];
+                *slot += 1;
+            }
+        }
+        SparseMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Dense product `self · m` on the CSR row-gather microkernel:
+    /// bit-identical to [`SparseMatrix::matmul`].
+    pub fn spmm(&self, m: &Tensor) -> Tensor {
+        assert_eq!(self.cols, m.rows, "spmm shape mismatch");
+        let mut out = Tensor::zeros(self.rows, m.cols);
+        openea_math::kernel::csr_matmul(
+            &self.row_ptr,
+            &self.col_idx,
+            &self.values,
+            &m.data,
+            m.cols,
+            &mut out.data,
+        );
+        out
+    }
+
+    /// Reference loop for [`SparseMatrix::spmm`], kept as its test oracle.
     pub fn matmul(&self, m: &Tensor) -> Tensor {
         assert_eq!(self.cols, m.rows, "spmm shape mismatch");
         let mut out = Tensor::zeros(self.rows, m.cols);
@@ -116,7 +163,9 @@ impl SparseMatrix {
         out
     }
 
-    /// Transposed product `selfᵀ · m` (used in the backward pass of `spmm`).
+    /// Reference loop for the transposed product `selfᵀ · m`, kept as the
+    /// test oracle of the `spmm` backward pass (which runs
+    /// `transpose().spmm(m)`).
     pub fn matmul_t(&self, m: &Tensor) -> Tensor {
         assert_eq!(self.rows, m.rows, "spmmᵀ shape mismatch");
         let mut out = Tensor::zeros(self.cols, m.cols);

@@ -1,5 +1,9 @@
 //! Dense 2-D `f32` tensors (matrices). Scalars are `1×1`, row vectors `1×n`.
+//!
+//! Dense products run on `openea_math::kernel`'s register microkernels; the
+//! `*_naive` loops they replaced stay as the bit-exact test oracles.
 
+use openea_math::kernel;
 use openea_runtime::rng::Rng;
 
 /// A dense row-major 2-D tensor.
@@ -74,6 +78,90 @@ impl Tensor {
     pub fn same_shape(&self, other: &Tensor) -> bool {
         self.rows == other.rows && self.cols == other.cols
     }
+
+    pub fn transpose(&self) -> Tensor {
+        let mut out = Tensor::zeros(self.cols, self.rows);
+        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out.data[j * self.rows + i] = v;
+            }
+        }
+        out
+    }
+
+    /// `self · b` on the matmul microkernel: each element folds its `k`
+    /// terms in order from `+0.0`, bit-identical to [`Tensor::matmul_naive`]
+    /// for finite operands.
+    pub fn matmul(&self, b: &Tensor) -> Tensor {
+        assert_eq!(self.cols, b.rows, "matmul shape mismatch");
+        let mut out = Tensor::zeros(self.rows, b.cols);
+        kernel::matmul(
+            self.rows,
+            self.cols,
+            b.cols,
+            &self.data,
+            &b.data,
+            &mut out.data,
+        );
+        out
+    }
+
+    /// Reference loop for [`Tensor::matmul`], kept as its test oracle: skips
+    /// zero multipliers, folds the rest in `k` order from `+0.0`.
+    pub fn matmul_naive(&self, b: &Tensor) -> Tensor {
+        assert_eq!(self.cols, b.rows, "matmul shape mismatch");
+        let mut out = Tensor::zeros(self.rows, b.cols);
+        for i in 0..self.rows {
+            for k in 0..self.cols {
+                let av = self.get(i, k);
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = b.row(k);
+                let orow = out.row_mut(i);
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Gradients of `A·B` given the upstream gradient `g`: `(g·Bᵀ, Aᵀ·g)`,
+/// each a microkernel product over a transposed operand, so every element
+/// keeps the summation order of [`matmul_grads_naive`].
+pub fn matmul_grads(a: &Tensor, b: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
+    (g.matmul(&b.transpose()), a.transpose().matmul(g))
+}
+
+/// Reference loops for [`matmul_grads`], kept as its test oracle.
+pub fn matmul_grads_naive(a: &Tensor, b: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
+    let mut ga = Tensor::zeros(a.rows, a.cols);
+    for i in 0..a.rows {
+        for j in 0..b.cols {
+            let gv = g.get(i, j);
+            if gv == 0.0 {
+                continue;
+            }
+            for k in 0..a.cols {
+                ga.row_mut(i)[k] += gv * b.get(k, j);
+            }
+        }
+    }
+    let mut gb = Tensor::zeros(b.rows, b.cols);
+    for i in 0..a.rows {
+        for k in 0..a.cols {
+            let av = a.get(i, k);
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &gv) in gb.row_mut(k).iter_mut().zip(g.row(i)) {
+                *o += av * gv;
+            }
+        }
+    }
+    (ga, gb)
 }
 
 #[cfg(test)]

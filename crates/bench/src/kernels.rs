@@ -8,10 +8,20 @@
 //! numbers are only meaningful if the fast path computes the same thing.
 //! `--smoke` runs just the equivalence gate plus one tiny timing grid (CI
 //! budget: well under 30 s) and writes no JSON.
+//!
+//! The autodiff section gates the tape's products the same way: one
+//! full-batch GCN step at the `train_eval` shape (a medium D-Y pair,
+//! dim 32) must produce bit-identical gradients on the microkernel path
+//! under every backend and on the naive loops it replaced, and the kernel
+//! step must run at least [`GCN_STEP_RATCHET`]x the naive step.
 
 use crate::HarnessConfig;
 use openea::align::{Metric, SimilarityMatrix, TopKMatrix, DEFAULT_TILE};
+use openea::approaches::gcn::union_edges;
+use openea::autodiff::tensor::{matmul_grads, matmul_grads_naive};
+use openea::autodiff::{SparseMatrix, Tensor};
 use openea::math::{kernel, vecops};
+use openea::prelude::{k_fold_splits, DatasetFamily, PresetConfig};
 use openea_runtime::json::{object, Json, ToJson};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use std::time::Instant;
@@ -136,6 +146,185 @@ impl ToJson for Entry {
     }
 }
 
+/// Minimum speedup of the microkernel GCN step over the naive-loop step.
+/// On a 2-core AVX2 VM the kernel step measured about 2.2x (seed 7).
+const GCN_STEP_RATCHET: f64 = 1.5;
+
+/// Which implementation of the tape's products a GCN step runs.
+#[derive(Clone, Copy)]
+enum Products {
+    /// The register microkernels, as `Graph` runs them.
+    Kernel,
+    /// The naive loops they replaced, kept as oracles.
+    Naive,
+}
+
+impl Products {
+    fn matmul(self, a: &Tensor, b: &Tensor) -> Tensor {
+        match self {
+            Products::Kernel => a.matmul(b),
+            Products::Naive => a.matmul_naive(b),
+        }
+    }
+
+    fn matmul_grads(self, a: &Tensor, b: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
+        match self {
+            Products::Kernel => matmul_grads(a, b, g),
+            Products::Naive => matmul_grads_naive(a, b, g),
+        }
+    }
+
+    fn spmm(self, s: &SparseMatrix, m: &Tensor) -> Tensor {
+        match self {
+            Products::Kernel => s.spmm(m),
+            Products::Naive => s.matmul(m),
+        }
+    }
+
+    /// `sᵀ · g`, through the prebuilt transpose `st` on the kernel path.
+    fn spmm_t(self, s: &SparseMatrix, st: &SparseMatrix, g: &Tensor) -> Tensor {
+        match self {
+            Products::Kernel => st.spmm(g),
+            Products::Naive => s.matmul_t(g),
+        }
+    }
+}
+
+/// GCNAlign's inputs on one `train_eval` pair: the normalized union-graph
+/// adjacency, input features, two layer weights and the training seeds,
+/// each with a fixed negative.
+struct GcnFixture {
+    adj: SparseMatrix,
+    adj_t: SparseMatrix,
+    x: Tensor,
+    w1: Tensor,
+    w2: Tensor,
+    seeds: Vec<(usize, usize, usize)>,
+}
+
+impl GcnFixture {
+    fn new(seed: u64) -> Self {
+        const DIM: usize = 32;
+        let pair = PresetConfig::new(DatasetFamily::DY, 1500, false, seed).generate();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let fold = k_fold_splits(&pair.alignment, 5, &mut rng).swap_remove(0);
+        let (n, edges) = union_edges(&pair, false);
+        let adj = SparseMatrix::gcn_normalized_weighted(n, &edges);
+        let n1 = pair.kg1.num_entities();
+        let seeds = fold
+            .train
+            .iter()
+            .map(|&(a, b)| (a.idx(), n1 + b.idx(), rng.gen_range(0..n)))
+            .collect();
+        Self {
+            adj_t: adj.transpose(),
+            adj,
+            x: Tensor::xavier(n, DIM, &mut rng),
+            w1: Tensor::xavier(DIM, DIM, &mut rng),
+            w2: Tensor::xavier(DIM, DIM, &mut rng),
+            seeds,
+        }
+    }
+
+    /// One full-batch step of a two-layer GCN, `H₂ = Â·tanh(Â·X·W₁)·W₂`,
+    /// under a Manhattan hinge on the seeds (every term active). Returns
+    /// the gradients of `X`, `W₁` and `W₂`.
+    fn step(&self, p: Products) -> [Tensor; 3] {
+        let xw = p.matmul(&self.x, &self.w1);
+        let mut h1 = p.spmm(&self.adj, &xw);
+        h1.data.iter_mut().for_each(|v| *v = v.tanh());
+        let hw = p.matmul(&h1, &self.w2);
+        let h2 = p.spmm(&self.adj, &hw);
+        let mut g = Tensor::zeros(h2.rows, h2.cols);
+        let scale = 1.0 / self.seeds.len().max(1) as f32;
+        for &(a, b, n) in &self.seeds {
+            for j in 0..h2.cols {
+                let pos = (h2.get(a, j) - h2.get(b, j)).signum() * scale;
+                let neg = (h2.get(a, j) - h2.get(n, j)).signum() * scale;
+                g.row_mut(a)[j] += pos - neg;
+                g.row_mut(b)[j] -= pos;
+                g.row_mut(n)[j] += neg;
+            }
+        }
+        let g_hw = p.spmm_t(&self.adj, &self.adj_t, &g);
+        let (mut g_h1, g_w2) = p.matmul_grads(&h1, &self.w2, &g_hw);
+        for (gv, &y) in g_h1.data.iter_mut().zip(&h1.data) {
+            *gv *= 1.0 - y * y;
+        }
+        let g_xw = p.spmm_t(&self.adj, &self.adj_t, &g_h1);
+        let (g_x, g_w1) = p.matmul_grads(&self.x, &self.w1, &g_xw);
+        [g_x, g_w1, g_w2]
+    }
+}
+
+fn tensor_bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
+    ts.iter()
+        .map(|t| t.data.iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+/// The autodiff gate's timing row.
+struct GcnStepEntry {
+    nodes: usize,
+    nnz: usize,
+    dim: usize,
+    seeds: usize,
+    backend: &'static str,
+    naive_ms: f64,
+    kernel_ms: f64,
+}
+
+impl ToJson for GcnStepEntry {
+    fn to_json(&self) -> Json {
+        object([
+            ("nodes", self.nodes.to_json()),
+            ("nnz", self.nnz.to_json()),
+            ("dim", self.dim.to_json()),
+            ("seeds", self.seeds.to_json()),
+            ("threads", 1usize.to_json()),
+            ("kernel_backend", self.backend.to_json()),
+            ("naive_step_ms", self.naive_ms.to_json()),
+            ("kernel_step_ms", self.kernel_ms.to_json()),
+            ("speedup", (self.naive_ms / self.kernel_ms).to_json()),
+        ])
+    }
+}
+
+/// Gates the GCN step's gradients bit-identical between the naive loops and
+/// the microkernels under every supported backend, then times both paths
+/// at the host's backend and enforces [`GCN_STEP_RATCHET`].
+fn check_gcn_step(seed: u64) -> Result<GcnStepEntry, String> {
+    let f = GcnFixture::new(seed);
+    let want = tensor_bits(&f.step(Products::Naive));
+    for backend in kernel::supported_backends() {
+        kernel::force_backend(Some(backend));
+        let got = tensor_bits(&f.step(Products::Kernel));
+        kernel::force_backend(None);
+        if let Some(k) = (0..3).find(|&k| got[k] != want[k]) {
+            let name = ["X", "W1", "W2"][k];
+            return Err(format!(
+                "backend={}: gradient of {name} diverges from the naive step",
+                backend.label()
+            ));
+        }
+    }
+    let naive_ms = time_ms(|| {
+        std::hint::black_box(f.step(Products::Naive));
+    });
+    let kernel_ms = time_ms(|| {
+        std::hint::black_box(f.step(Products::Kernel));
+    });
+    Ok(GcnStepEntry {
+        nodes: f.x.rows,
+        nnz: f.adj.nnz(),
+        dim: f.x.cols,
+        seeds: f.seeds.len(),
+        backend: kernel::active_backend().label(),
+        naive_ms,
+        kernel_ms,
+    })
+}
+
 pub fn kernels(cfg: &HarnessConfig, smoke: bool) {
     print!("equivalence gate (seed {}): ", cfg.seed);
     match check_equivalence(cfg.seed) {
@@ -216,6 +405,33 @@ pub fn kernels(cfg: &HarnessConfig, smoke: bool) {
         }
     }
 
+    print!("autodiff gate (seed {}): ", cfg.seed);
+    let gcn = match check_gcn_step(cfg.seed) {
+        Ok(e) => e,
+        Err(msg) => {
+            eprintln!("FAILED — microkernel GCN step diverges: {msg}");
+            std::process::exit(1);
+        }
+    };
+    println!(
+        "GCN step gradients bit-identical on every backend; {} nodes, nnz {}, dim {}: \
+         naive {:.2} ms, kernel {:.2} ms ({:.2}x, backend {})",
+        gcn.nodes,
+        gcn.nnz,
+        gcn.dim,
+        gcn.naive_ms,
+        gcn.kernel_ms,
+        gcn.naive_ms / gcn.kernel_ms,
+        gcn.backend
+    );
+    if gcn.naive_ms / gcn.kernel_ms < GCN_STEP_RATCHET {
+        eprintln!(
+            "FAILED — microkernel GCN step is {:.2}x the naive step, below the {GCN_STEP_RATCHET}x ratchet",
+            gcn.naive_ms / gcn.kernel_ms
+        );
+        std::process::exit(1);
+    }
+
     if smoke {
         println!("[kernels smoke OK]");
         return;
@@ -234,6 +450,7 @@ pub fn kernels(cfg: &HarnessConfig, smoke: bool) {
         ),
         ("kernel_backend", kernel::active_backend().label().to_json()),
         ("entries", entries.to_json()),
+        ("autodiff_gcn_step", gcn.to_json()),
     ]);
     cfg.write_json("BENCH_kernels", &doc);
 }

@@ -1,9 +1,10 @@
 //! Register-blocked SIMD microkernels with runtime ISA dispatch.
 //!
 //! This module owns the innermost loops under the dimension-major
-//! ("transposed-tile") block kernels in [`crate::vecops`]: one or four
-//! source rows swept against a tile stored `tile_t[d * cols + j]`, with the
-//! embedding dimension `d` as the outer loop. Each output column keeps its
+//! ("transposed-tile") block kernels in [`crate::vecops`] and under the
+//! autodiff tape's matrix products: one or four source rows swept against
+//! a tile stored `tile_t[d * cols + j]` (or, for a CSR row, against the
+//! dense rows its entries name), with `d` as the outer loop. Each output column keeps its
 //! own accumulator that folds **sequentially in `d`** — the same op
 //! sequence at every vector width — so the scalar, SSE2 and AVX2 backends
 //! are *bit-identical* to each other and to the naive per-pair kernels
@@ -16,7 +17,11 @@
 //!   `f32::sum` folds from), `acc + x*b` per step;
 //! - squared Euclidean: seeds from `+0.0`, `acc + (x-b)*(x-b)` per step;
 //! - Manhattan: seeds from `+0.0`, `acc + |x-b|` per step, where `|v|` is a
-//!   sign-bit clear (`f32::abs`) on every backend.
+//!   sign-bit clear (`f32::abs`) on every backend;
+//! - matrix products ([`matmul`], [`csr_matmul`]): seed from `+0.0`,
+//!   `acc + x*b` per step — the fold of a zero-initialized `out += x*b`
+//!   loop, so the autodiff tape's dense and sparse products keep the bits
+//!   of the naive loops they replaced.
 //!
 //! Register geometry: single-row kernels block four vectors of columns per
 //! `d`-pass (32 f32 lanes at AVX2); the [`PANEL_ROWS`]-row panel kernels
@@ -321,18 +326,33 @@ impl Accum for AbsA {
     }
 }
 
+/// `acc + x*b`, seeded from `+0.0`: the fold of a zero-initialized
+/// `out += x*b` loop, which is what matrix products accumulate.
+struct MulAddA;
+impl Accum for MulAddA {
+    const SEED: f32 = 0.0;
+    #[inline(always)]
+    unsafe fn step<V: Lanes>(acc: V, x: V, b: V) -> V {
+        acc.add(x.mul(b))
+    }
+}
+
 // --------------------------------------------------------- generic kernels
 
-/// One source row against columns `[start, cols)` of a dimension-major
-/// tile: a four-vector register block, then one vector at a time, then a
-/// scalar tail — every column folds the identical op sequence in `d`.
+/// One source row against columns `[start, cols)` of `a.len()` tile rows,
+/// where `row_at(d)` points at the `cols` values of tile row `d`: a
+/// four-vector register block, then one vector at a time, then a scalar
+/// tail — every column folds the identical op sequence in `d`. A
+/// dimension-major tile passes `row_at(d) = tile_t + d*cols`; the CSR
+/// row-gather passes the dense row a sparse entry points at.
 ///
-/// Safety: `tile_t` must hold `a.len() * cols` f32s, `out` must be writable
-/// for `cols`, and `V`'s ISA must be live in the calling frame.
+/// Safety: `row_at(d)` must be readable for `cols` f32s for every
+/// `d < a.len()`, `out` must be writable for `cols`, and `V`'s ISA must be
+/// live in the calling frame.
 #[inline(always)]
 unsafe fn row_kernel<V: Lanes, A: Accum>(
     a: &[f32],
-    tile_t: *const f32,
+    row_at: impl Fn(usize) -> *const f32,
     cols: usize,
     start: usize,
     out: *mut f32,
@@ -342,7 +362,7 @@ unsafe fn row_kernel<V: Lanes, A: Accum>(
         let seed = V::splat(A::SEED);
         let (mut c0, mut c1, mut c2, mut c3) = (seed, seed, seed, seed);
         for (d, &x) in a.iter().enumerate() {
-            let base = tile_t.add(d * cols + j);
+            let base = row_at(d).add(j);
             let xv = V::splat(x);
             c0 = A::step(c0, xv, V::load(base));
             c1 = A::step(c1, xv, V::load(base.add(V::N)));
@@ -358,7 +378,7 @@ unsafe fn row_kernel<V: Lanes, A: Accum>(
     while j + V::N <= cols {
         let mut c = V::splat(A::SEED);
         for (d, &x) in a.iter().enumerate() {
-            c = A::step(c, V::splat(x), V::load(tile_t.add(d * cols + j)));
+            c = A::step(c, V::splat(x), V::load(row_at(d).add(j)));
         }
         c.store(out.add(j));
         j += V::N;
@@ -366,7 +386,7 @@ unsafe fn row_kernel<V: Lanes, A: Accum>(
     while j < cols {
         let mut c = A::SEED;
         for (d, &x) in a.iter().enumerate() {
-            c = A::step(c, x, *tile_t.add(d * cols + j));
+            c = A::step(c, x, *row_at(d).add(j));
         }
         *out.add(j) = c;
         j += 1;
@@ -427,7 +447,7 @@ unsafe fn panel_kernel<V: Lanes, A: Accum>(
     if j < cols {
         for (r, &o) in out.iter().enumerate() {
             let row = std::slice::from_raw_parts(a.add(r * dim), dim);
-            row_kernel::<V, A>(row, tile_t, cols, j, o);
+            row_kernel::<V, A>(row, |d| tile_t.add(d * cols), cols, j, o);
         }
     }
 }
@@ -443,13 +463,13 @@ macro_rules! dispatch_kernels {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "sse2")]
         unsafe fn $row_sse2(a: &[f32], tile_t: *const f32, cols: usize, out: *mut f32) {
-            row_kernel::<__m128, $acc>(a, tile_t, cols, 0, out)
+            row_kernel::<__m128, $acc>(a, |d| tile_t.add(d * cols), cols, 0, out)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         unsafe fn $row_avx2(a: &[f32], tile_t: *const f32, cols: usize, out: *mut f32) {
-            row_kernel::<__m256, $acc>(a, tile_t, cols, 0, out)
+            row_kernel::<__m256, $acc>(a, |d| tile_t.add(d * cols), cols, 0, out)
         }
 
         #[doc = $row_doc]
@@ -460,13 +480,15 @@ macro_rules! dispatch_kernels {
             match active_backend() {
                 // Safety: bounds asserted above; wide wrappers only run
                 // after their ISA was detected (or clamped) at dispatch.
-                Backend::Scalar => unsafe { row_kernel::<f32, $acc>(a, t, cols, 0, o) },
+                Backend::Scalar => unsafe {
+                    row_kernel::<f32, $acc>(a, |d| t.add(d * cols), cols, 0, o)
+                },
                 #[cfg(target_arch = "x86_64")]
                 Backend::Sse2 => unsafe { $row_sse2(a, t, cols, o) },
                 #[cfg(target_arch = "x86_64")]
                 Backend::Avx2 => unsafe { $row_avx2(a, t, cols, o) },
                 #[cfg(not(target_arch = "x86_64"))]
-                _ => unsafe { row_kernel::<f32, $acc>(a, t, cols, 0, o) },
+                _ => unsafe { row_kernel::<f32, $acc>(a, |d| t.add(d * cols), cols, 0, o) },
             }
         }
 
@@ -564,9 +586,169 @@ dispatch_kernels!(
      is bit-identical to [`row_absdist`] of row `r`."
 );
 
+// ------------------------------------------------------- matrix products
+
+/// A whole-operation kernel body, generic over the lane type, so one
+/// dispatcher serves every product below and the backend is resolved once
+/// per call rather than once per row.
+trait Body {
+    /// Safety: the caller checked the body's bounds, and `V`'s ISA is live
+    /// in the calling frame.
+    unsafe fn run<V: Lanes>(&self);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+unsafe fn run_sse2<B: Body>(body: &B) {
+    body.run::<__m128>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_avx2<B: Body>(body: &B) {
+    body.run::<__m256>()
+}
+
+/// Safety: `body`'s bounds must have been checked.
+unsafe fn run_body<B: Body>(body: &B) {
+    match active_backend() {
+        Backend::Scalar => body.run::<f32>(),
+        // Wide wrappers only run after their ISA was detected (or clamped).
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => run_sse2(body),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => run_avx2(body),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => body.run::<f32>(),
+    }
+}
+
+/// Dense product: `rows × dim` times `dim × cols`, both row-major.
+struct Dense<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    out: *mut f32,
+    rows: usize,
+    dim: usize,
+    cols: usize,
+}
+
+impl Body for Dense<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(&self) {
+        let (a, b, (dim, cols)) = (self.a.as_ptr(), self.b.as_ptr(), (self.dim, self.cols));
+        // A row-major `dim × cols` right operand is a dimension-major tile.
+        let mut i = 0;
+        while i + PANEL_ROWS <= self.rows {
+            let out = std::array::from_fn(|r| self.out.add((i + r) * cols));
+            panel_kernel::<V, MulAddA>(a.add(i * dim), dim, b, cols, out);
+            i += PANEL_ROWS;
+        }
+        for i in i..self.rows {
+            let row = std::slice::from_raw_parts(a.add(i * dim), dim);
+            let out = self.out.add(i * cols);
+            row_kernel::<V, MulAddA>(row, |d| b.add(d * cols), cols, 0, out);
+        }
+    }
+}
+
+/// CSR times dense: output row `r` gathers the dense rows its entries name.
+struct Csr<'a> {
+    row_ptr: &'a [usize],
+    col_idx: &'a [u32],
+    values: &'a [f32],
+    m: &'a [f32],
+    out: *mut f32,
+    cols: usize,
+}
+
+impl Body for Csr<'_> {
+    #[inline(always)]
+    unsafe fn run<V: Lanes>(&self) {
+        let (m, cols) = (self.m.as_ptr(), self.cols);
+        for (r, span) in self.row_ptr.windows(2).enumerate() {
+            let idx = &self.col_idx[span[0]..span[1]];
+            let row_at = |k: usize| m.add(idx[k] as usize * cols);
+            let vals = &self.values[span[0]..span[1]];
+            row_kernel::<V, MulAddA>(vals, row_at, cols, 0, self.out.add(r * cols));
+        }
+    }
+}
+
+/// Dense product `out = A·B` for row-major `a` (`rows × dim`), `b`
+/// (`dim × cols`) and `out` (`rows × cols`). Every `out[i][j]` folds
+/// `acc + a[i][d]*b[d][j]` sequentially in `d` from `+0.0`, on every
+/// backend: bit-identical to a zero-initialized `out += a*b` loop over
+/// `d`, and, for finite `b`, to one that skips zero multipliers (a `+0.0`
+/// seed never turns into `-0.0`, so adding `±0.0` leaves it unchanged).
+pub fn matmul(rows: usize, dim: usize, cols: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), rows * dim, "matmul left operand shape");
+    assert_eq!(b.len(), dim * cols, "matmul right operand shape");
+    assert_eq!(out.len(), rows * cols, "matmul output shape");
+    let body = Dense {
+        a,
+        b,
+        out: out.as_mut_ptr(),
+        rows,
+        dim,
+        cols,
+    };
+    // Safety: every extent the body touches was asserted above.
+    unsafe { run_body(&body) }
+}
+
+/// Sparse-times-dense product `out = S·M` for a CSR matrix `S`
+/// (`row_ptr`, `col_idx`, `values`, with `row_ptr.len() - 1` rows) and a
+/// row-major `m` with `cols` columns. Every `out[r][j]` folds
+/// `acc + values[k]*m[col_idx[k]][j]` over the row's entries in storage
+/// order from `+0.0`, on every backend: bit-identical to a zero-initialized
+/// `out += v*m` loop over the same entries. Empty rows come out `+0.0`.
+pub fn csr_matmul(
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    values: &[f32],
+    m: &[f32],
+    cols: usize,
+    out: &mut [f32],
+) {
+    assert!(!row_ptr.is_empty(), "row_ptr holds rows + 1 offsets");
+    assert_eq!(col_idx.len(), values.len(), "one column per value");
+    assert!(
+        row_ptr.windows(2).all(|w| w[0] <= w[1]) && row_ptr[row_ptr.len() - 1] <= values.len(),
+        "row_ptr must be ascending and within the entries"
+    );
+    assert!(
+        col_idx.iter().all(|&c| (c as usize + 1) * cols <= m.len()),
+        "column index past the dense operand"
+    );
+    assert_eq!(
+        out.len(),
+        (row_ptr.len() - 1) * cols,
+        "csr_matmul output shape"
+    );
+    let body = Csr {
+        row_ptr,
+        col_idx,
+        values,
+        m,
+        out: out.as_mut_ptr(),
+        cols,
+    };
+    // Safety: every index the body dereferences was asserted above.
+    unsafe { run_body(&body) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that force a backend: the knob is global, and
+    /// `forcing_clamps_to_host_support` asserts what it restores.
+    fn lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn pseudo(n: usize, salt: u32) -> Vec<f32> {
         // Deterministic mixed-magnitude data including exact zeros and
@@ -613,6 +795,7 @@ mod tests {
 
     #[test]
     fn forcing_clamps_to_host_support() {
+        let _guard = lock();
         // Single test owns force_backend assertions (the knob is global);
         // other tests only *compute*, which is backend-invariant.
         let prev = active_backend();
@@ -627,6 +810,7 @@ mod tests {
 
     #[test]
     fn every_backend_matches_the_scalar_fold_bitwise() {
+        let _guard = lock();
         // Shapes chosen to hit the 4-vector block, the 1-vector loop and
         // the scalar tail on every backend (cols 67 = 2*32 + 3 at AVX2).
         for &(rows, dim) in &[(1usize, 1usize), (5, 3), (67, 16), (97, 7)] {
@@ -683,6 +867,7 @@ mod tests {
 
     #[test]
     fn dot_seeds_from_negative_zero_on_every_backend() {
+        let _guard = lock();
         // dot(-1, 0) = -0.0 exactly like `f32::sum`; distances seed +0.0.
         let a = [-1.0f32];
         let tile_t = [0.0f32; 9];
@@ -697,6 +882,52 @@ mod tests {
             assert_eq!(out[0].to_bits(), 1.0f32.to_bits());
         }
         force_backend(None);
+    }
+
+    #[test]
+    fn matrix_products_match_their_loops_on_every_backend() {
+        let _guard = lock();
+        // Rows straddle the 4-row panel; cols hit every column path.
+        for &(rows, dim, cols) in &[(0usize, 3usize, 5usize), (1, 1, 1), (6, 7, 33), (9, 4, 3)] {
+            let a = pseudo(rows * dim, 3);
+            let b = pseudo(dim * cols, 11);
+            let mut want = vec![0.0f32; rows * cols];
+            for i in 0..rows {
+                for d in 0..dim {
+                    for j in 0..cols {
+                        want[i * cols + j] += a[i * dim + d] * b[d * cols + j];
+                    }
+                }
+            }
+            // CSR over `b`'s rows: row 0 is empty, every other row names
+            // one dense row twice.
+            let row_ptr: Vec<usize> = (0..=rows).map(|r| (r * 2).saturating_sub(2)).collect();
+            let col_idx: Vec<u32> = (0..row_ptr[rows]).map(|k| (k / 2 % dim) as u32).collect();
+            let values = pseudo(col_idx.len(), 5);
+            let mut want_csr = vec![0.0f32; rows * cols];
+            for r in 0..rows {
+                for k in row_ptr[r]..row_ptr[r + 1] {
+                    for j in 0..cols {
+                        want_csr[r * cols + j] += values[k] * b[col_idx[k] as usize * cols + j];
+                    }
+                }
+            }
+            for be in supported_backends() {
+                force_backend(Some(be));
+                let mut got = vec![9.0f32; rows * cols];
+                matmul(rows, dim, cols, &a, &b, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "matmul {} {rows}x{dim}x{cols}",
+                    be.label()
+                );
+                csr_matmul(&row_ptr, &col_idx, &values, &b, cols, &mut got);
+                assert_eq!(bits(&got), bits(&want_csr), "csr {}", be.label());
+            }
+            force_backend(None);
+        }
     }
 
     #[test]

@@ -48,7 +48,8 @@
 //! ## Shutdown
 //!
 //! `stop()` flips the flag and wakes the reactor — no sentinel
-//! connections. The reactor closes the listener, performs a final read
+//! connections. The reactor accepts what is left in the listen backlog,
+//! closes the listener, performs a final read
 //! sweep (requests that raced shutdown are still parsed), then drains:
 //! idle keep-alive connections close immediately, connections owing
 //! responses stay until their bytes are flushed (bounded by a grace
@@ -772,6 +773,10 @@ impl Reactor {
     fn begin_drain(&mut self) {
         self.draining = true;
         self.drain_deadline_us = self.shared.tel.clock.micros() + DRAIN_GRACE.as_micros() as u64;
+        // Connections whose handshake completed wait in the listen backlog
+        // with their requests already sent: accept them for the sweep below
+        // rather than resetting them with the listener.
+        self.accept_ready();
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.deregister(&listener);
             // Dropped here: pending SYNs get RST instead of silence.

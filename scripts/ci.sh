@@ -13,7 +13,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 # Kernel smoke gate: proves the tiled/top-k kernels bit-identical to the
 # naive reference on a fixed seed — on every ISA backend the host supports
 # (scalar/SSE2/AVX2, via the dispatch override) — then runs one tiny timing
-# grid. Exits non-zero on any divergence. Budget: well under 30 s.
+# grid. Its autodiff section proves one full-batch GCN step (medium D-Y,
+# dim 32) bit-identical between the microkernel products and the naive loops
+# on every backend, and enforces the ratchet: the kernel step must run at
+# least 1.5x the naive step at one thread. Exits non-zero on any divergence.
+# Budget: well under 30 s.
 cargo run --release --offline -p openea-bench -- kernels --smoke --no-out
 
 # Training smoke gate: proves the batched trainer bit-identical to the serial

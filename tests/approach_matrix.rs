@@ -109,6 +109,10 @@ fn golden_fixture() -> (KgPair, Vec<FoldSplit>, RunConfig) {
     (pair, folds, cfg)
 }
 
+/// Approaches trained through the autodiff tape, whose dense and sparse
+/// products run on the dispatched register microkernels.
+const TAPE_APPROACHES: [&str; 3] = ["GCNAlign", "RDGCN", "RSN4EA"];
+
 #[test]
 fn golden_hashes_bit_identical_across_thread_counts() {
     let (pair, folds, mut cfg) = golden_fixture();
@@ -127,7 +131,19 @@ fn golden_hashes_bit_identical_across_thread_counts() {
         );
         println!("    (\"{name}\", {:#018x}),", hashes[0]);
         if hashes[0] != golden[name] {
-            diverged.push(name);
+            diverged.push(name.to_string());
+        }
+        // Every backend, not just the host default, must hit the constant.
+        if TAPE_APPROACHES.contains(&name) {
+            cfg.threads = 1;
+            for backend in openea::math::kernel::supported_backends() {
+                openea::math::kernel::force_backend(Some(backend));
+                let hash = approach.run(&pair, &folds[0], &cfg).content_hash();
+                openea::math::kernel::force_backend(None);
+                if hash != golden[name] {
+                    diverged.push(format!("{name} on {}", backend.label()));
+                }
+            }
         }
     }
     assert!(
