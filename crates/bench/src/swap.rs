@@ -21,8 +21,8 @@
 //!
 //! The full run writes `results/BENCH_swap.json` with the steady vs
 //! under-swap latency split and the writer-side flip pause per flip
-//! (expected far below 1 ms: the flip is one atomic pointer swap plus a
-//! bounded grace-period wait; readers never pause at all).
+//! (expected far below 1 ms: the flip replaces one `Arc` under a mutex
+//! that readers hold only to clone it).
 
 use crate::serve::build_snapshot;
 use crate::HarnessConfig;
@@ -473,7 +473,7 @@ pub fn swap_bench(cfg: &HarnessConfig, smoke: bool) {
     let flip_max = flip_us.iter().cloned().fold(0.0f64, f64::max);
     let flip_mean = flip_us.iter().sum::<f64>() / flip_us.len() as f64;
     println!(
-        "flips: {} completed, writer-side pause mean {:.1} µs, max {:.1} µs (readers never pause)",
+        "flips: {} completed, writer-side pause mean {:.1} µs, max {:.1} µs",
         flip_us.len(),
         flip_mean,
         flip_max

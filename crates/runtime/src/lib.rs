@@ -22,10 +22,6 @@
 //! - [`timer`] — a monotonic microsecond clock and a fixed-footprint
 //!   power-of-two latency histogram for the serving layer's percentile
 //!   telemetry.
-//! - [`swap`] — [`swap::SwapCell`], an atomically swappable `Arc<T>`
-//!   (wait-free reads, pointer-flip publication with an RCU-style grace
-//!   period) — the std-only `arc-swap` replacement behind zero-downtime
-//!   snapshot hot-swap in the serving layer.
 //! - [`os`] — the one sanctioned raw-OS-call site: a safe, level-triggered
 //!   epoll [`os::Poller`] plus a self-pipe [`os::Waker`], the readiness
 //!   primitive under the event-driven serving core (Linux only).
@@ -42,6 +38,5 @@ pub mod json;
 pub mod os;
 pub mod pool;
 pub mod rng;
-pub mod swap;
 pub mod testkit;
 pub mod timer;

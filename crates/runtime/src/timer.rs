@@ -39,7 +39,7 @@ impl Monotonic {
     }
 
     /// Nanoseconds elapsed since the anchor — for intervals too short for
-    /// the microsecond reading (e.g. a hot-swap pointer flip).
+    /// the microsecond reading (e.g. a hot-swap flip).
     pub fn nanos(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }

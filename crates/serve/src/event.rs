@@ -12,19 +12,20 @@
 //! encode the response bytes, push a completion record, and wake the
 //! reactor through its self-pipe [`Waker`](openea_runtime::os::Waker).
 //! Each open connection costs one fd, one parser buffer and one slab
-//! slot — no thread, no stack — which is what lifts the concurrency
-//! ceiling from `workers` (the blocking baseline) to `max_conns`.
+//! slot — no thread, no stack — so the concurrency ceiling is
+//! `max_conns`, not `workers`.
 //!
-//! ## Pipelining → micro-batching
+//! ## Pipelining → batching
 //!
 //! A client that pipelines N `/align` requests lands them in one socket
 //! read; the reactor collects the maximal contiguous run into a single
 //! job, and the worker resolves the whole run through
-//! [`BatchIndex::query_batch`] — one state-lock pass, at most one kernel
-//! sweep for every cache miss in the run. Responses are encoded in
-//! request order, so pipelining is invisible to the client except in
-//! throughput ([`Telemetry::pipelined_batches`] counts the multi-request
-//! jobs).
+//! [`BatchIndex::query_batch`](crate::index::BatchIndex::query_batch) —
+//! one cache-lock pass, one kernel sweep per probe group for the run's
+//! cache misses. This run is the only batching the server does. Responses
+//! are encoded in request order, so pipelining is invisible to the client
+//! except in throughput ([`Telemetry::pipelined_batches`] counts the
+//! multi-request jobs).
 //!
 //! At most one job per connection is in flight at a time; further parsed
 //! requests queue on the connection (bounded by
@@ -61,7 +62,7 @@ use crate::conn::{Conn, ConnEvent};
 use crate::index::Probe;
 use crate::server::{
     align_response, classify, err_json, reload_response, response_bytes, shed_bytes, stats_json,
-    AlignQuery, RouteAction, ServerMode, ServerOptions, Telemetry, EP_ALIGN, EP_RELOAD,
+    AlignQuery, RouteAction, ServerOptions, Telemetry, EP_ALIGN, EP_RELOAD,
 };
 use crate::swap::HotSwapIndex;
 use openea_runtime::os::{Interest, PollEvent, Poller, Waker};
@@ -313,8 +314,8 @@ fn worker_loop(sh: &ReactorShared) {
     }
 }
 
-/// Resolves one run of align requests through the micro-batching path
-/// and encodes the responses in request order.
+/// Resolves one run of align requests as one batch and encodes the
+/// responses in request order.
 fn run_aligns(sh: &ReactorShared, items: &[AlignItem]) -> (Vec<u8>, bool) {
     // One `current()` per job: answers, metric, names and generation all
     // come from one coherent index even if a flip lands mid-job.
@@ -554,7 +555,6 @@ impl Reactor {
                     let body = stats_json(
                         &self.shared.index,
                         &self.shared.tel,
-                        ServerMode::Reactor,
                         self.shared.jobs.depth(),
                         self.shared.opts.p99_budget_us,
                     );

@@ -12,19 +12,20 @@
 //!    registry approach emit snapshots from the driver engine's validation
 //!    checkpoints.
 //! 2. [`index`] — the in-memory alignment index over the streaming
-//!    [`TopKMatrix`](openea_align::TopKMatrix) kernels, with query
-//!    micro-batching (up to B queries or T µs per kernel sweep) and a
+//!    [`TopKMatrix`](openea_align::TopKMatrix) kernels, answering each
+//!    group of queries with one kernel sweep per probe, behind a
 //!    fixed-capacity LRU answer cache keyed by `(entity, k, metric)`.
 //!    Served answers are bit-identical to the offline dense evaluation
 //!    under the shared tie rule (descending score, lowest index wins).
-//! 3. [`server`] — a std-only threaded HTTP/1.1 server exposing
-//!    `/align?entity=&k=`, `/health`, `/stats` and `/admin/reload`, with
-//!    a bounded connection queue and explicit 503 backpressure.
+//! 3. [`server`] and [`event`] — a std-only HTTP/1.1 server on an epoll
+//!    reactor exposing `/align?entity=&k=`, `/health`, `/stats` and
+//!    `/admin/reload`, with explicit 503 backpressure. Each connection's
+//!    pipelined `/align` run is answered as one batch.
 //! 4. [`swap`] — zero-downtime snapshot hot-swap: the live index sits
-//!    behind a wait-free [`SwapCell`](openea_runtime::swap::SwapCell);
-//!    `/admin/reload` (or a directory watcher) loads and validates a new
-//!    artifact off the serving path, warms its cache from the retiring
-//!    index's hottest keys, and flips with one atomic pointer swap.
+//!    behind a `Mutex<Arc<BatchIndex>>`; `/admin/reload` (or a directory
+//!    watcher) loads and validates a new artifact off the serving path,
+//!    warms its cache from the retiring index's hottest keys, and flips
+//!    by replacing the `Arc` under the lock.
 //!    Retiring generations drain; generation-keyed answer caches make
 //!    cross-generation aliasing impossible.
 //!
@@ -46,7 +47,7 @@ pub mod swap;
 pub use index::{
     AlignmentIndex, Answer, BatchIndex, CacheKey, IndexStats, LruCache, Probe, QueryError,
 };
-pub use server::{serve, serve_hot, ServerHandle, ServerMode, ServerOptions};
+pub use server::{serve, serve_hot, ServerHandle, ServerOptions};
 pub use shard::{shard_path, write_sharded, ShardManifest, ShardMeta};
 pub use snapshot::{ModelParams, Snapshot, SnapshotError, SnapshotWriter};
 pub use swap::{

@@ -4,11 +4,12 @@
 //!
 //! ## Flip protocol
 //!
-//! The live [`BatchIndex`] sits behind a
-//! [`SwapCell`](openea_runtime::swap::SwapCell): readers grab an `Arc` to
-//! the current index with one wait-free atomic load per request, and a
-//! reload publishes its replacement with one atomic pointer flip. The
-//! full reload sequence is:
+//! The live [`BatchIndex`] sits behind a `Mutex<Arc<BatchIndex>>`: each
+//! request clones the `Arc` under the lock once, and a reload publishes
+//! its replacement with one `mem::replace` under the same lock. Both
+//! critical sections are a reference-count bump, tens of nanoseconds
+//! against requests that cost tens of microseconds. The full reload
+//! sequence is:
 //!
 //! 1. **Load off-thread** — read and fully validate the new artifact
 //!    (monolithic snapshot or shard manifest, budget-truncated or not)
@@ -20,9 +21,8 @@
 //! 3. **Warm** — replay the old index's most-recently-used cache keys
 //!    against the new index, so the flip does not land a popular-query
 //!    cold-start on live traffic.
-//! 4. **Flip** — one `SwapCell::swap`. The pause this inflicts on the
-//!    writer is the grace-period wait (readers never pause at all); it is
-//!    measured with a nanosecond clock and exported as `last_flip_us`.
+//! 4. **Flip** — one `mem::replace` under the lock. The writer-side pause
+//!    is measured with a nanosecond clock and exported as `last_flip_us`.
 //! 5. **Retire** — the old index drains: requests that loaded it before
 //!    the flip finish on it, and its memory is reclaimed when the last
 //!    one drops its `Arc`. `/stats` reports how many generations are
@@ -41,7 +41,6 @@ use crate::index::{AlignmentIndex, BatchIndex, Probe};
 use crate::shard::ShardManifest;
 use crate::snapshot::{Snapshot, SnapshotError};
 use openea_align::AnnConfig;
-use openea_runtime::swap::SwapCell;
 use openea_runtime::timer::Monotonic;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,10 +126,6 @@ pub fn load_artifact(path: &Path, budget_bytes: u64) -> Result<LoadedArtifact, S
 pub struct IndexOptions {
     /// Kernel threads per batch sweep.
     pub threads: usize,
-    /// Micro-batch size.
-    pub max_batch: usize,
-    /// Micro-batch collection window.
-    pub max_wait: Duration,
     /// LRU answer-cache capacity (0 disables).
     pub cache_cap: usize,
     /// IVF partitions (0 = exact-only index).
@@ -148,8 +143,6 @@ impl Default for IndexOptions {
     fn default() -> Self {
         Self {
             threads: 2,
-            max_batch: 32,
-            max_wait: Duration::from_micros(200),
             cache_cap: 4096,
             nlist: 0,
             nprobe: 0,
@@ -171,13 +164,7 @@ impl IndexOptions {
         } else {
             AlignmentIndex::new(snap)
         };
-        let mut index = BatchIndex::new(
-            raw,
-            self.threads,
-            self.max_batch,
-            self.max_wait,
-            self.cache_cap,
-        );
+        let mut index = BatchIndex::new(raw, self.threads, self.cache_cap);
         if self.nprobe > 0 {
             index = index.with_default_probe(Probe::Nprobe(self.nprobe as u32));
         }
@@ -198,8 +185,7 @@ pub struct ReloadOutcome {
     pub shards_total: usize,
     /// True when a memory budget truncated the load.
     pub partial: bool,
-    /// Writer-side pause of the pointer flip (grace-period wait included);
-    /// readers never pause.
+    /// Writer-side pause of the flip: the lock plus the `Arc` replace.
     pub flip_ns: u64,
     /// Cache keys replayed against the new index before the flip.
     pub warmed: usize,
@@ -270,14 +256,15 @@ struct SwapState {
 /// The hot-swappable serving index: what the HTTP server actually holds.
 /// `current()` is the per-request entry point; `reload*` republishes.
 pub struct HotSwapIndex {
-    cell: SwapCell<BatchIndex>,
+    /// The index serving right now; see [`HotSwapIndex::current`].
+    live: Mutex<Arc<BatchIndex>>,
     opts: IndexOptions,
     /// Artifact the index was loaded from; `None` for in-memory indices
     /// ([`HotSwapIndex::fixed`]), which cannot reload without an explicit
     /// path.
     artifact: Mutex<Option<PathBuf>>,
-    /// Serializes reloads end to end (load → build → warm → flip) without
-    /// ever blocking readers.
+    /// Serializes reloads end to end (load → build → warm → flip); readers
+    /// only ever wait on `live`, for one flip.
     reload_lock: Mutex<()>,
     state: Mutex<SwapState>,
     clock: Monotonic,
@@ -297,7 +284,7 @@ impl HotSwapIndex {
     pub fn fixed_with(index: Arc<BatchIndex>, opts: IndexOptions) -> Arc<Self> {
         let loaded = index.index().num_targets();
         Arc::new(Self {
-            cell: SwapCell::new(index),
+            live: Mutex::new(index),
             opts,
             artifact: Mutex::new(None),
             reload_lock: Mutex::new(()),
@@ -329,7 +316,7 @@ impl HotSwapIndex {
         let total_entities = art.total_targets;
         let index = opts.build(art.snapshot);
         let this = Arc::new(Self {
-            cell: SwapCell::new(index),
+            live: Mutex::new(index),
             opts,
             artifact: Mutex::new(Some(path.to_path_buf())),
             reload_lock: Mutex::new(()),
@@ -349,11 +336,11 @@ impl HotSwapIndex {
         Ok((this, info))
     }
 
-    /// The index serving right now: one wait-free atomic load. Hold the
-    /// returned `Arc` for the duration of one request so every read in it
-    /// sees one coherent generation.
+    /// The index serving right now: one `Arc` clone under the lock. Hold
+    /// the returned `Arc` for the duration of one request so every read in
+    /// it sees one coherent generation.
     pub fn current(&self) -> Arc<BatchIndex> {
-        self.cell.load()
+        Arc::clone(&self.live.lock().unwrap())
     }
 
     /// The options every reload builds its index with.
@@ -419,31 +406,28 @@ impl HotSwapIndex {
         let shards_total = art.shards_total;
         let partial = art.partial();
         let new = self.opts.build(art.snapshot);
-        let old = self.cell.load();
+        let old = self.current();
 
         // Warm the new index's cache with the old one's hottest keys, so
         // popular queries do not all miss at once after the flip. Probe
         // and k are replayed exactly; entities past the new index's range
         // (a smaller partial load) are skipped.
-        let mut warmed = 0usize;
-        if self.opts.warm_keys > 0 {
-            for key in old.recent_cache_keys(self.opts.warm_keys) {
-                if (key.entity as usize) < new.index().num_queries()
-                    && new
-                        .query_probed(
-                            key.entity,
-                            key.k as usize,
-                            Some(Probe::from_code(key.probe)),
-                        )
-                        .is_ok()
-                {
-                    warmed += 1;
-                }
-            }
-        }
+        let keys: Vec<(u32, usize, Option<Probe>)> = old
+            .recent_cache_keys(self.opts.warm_keys)
+            .into_iter()
+            .filter(|key| (key.entity as usize) < new.index().num_queries())
+            .map(|key| {
+                (
+                    key.entity,
+                    key.k as usize,
+                    Some(Probe::from_code(key.probe)),
+                )
+            })
+            .collect();
+        let warmed = new.query_batch(&keys).iter().filter(|r| r.is_ok()).count();
 
         let t0 = self.clock.nanos();
-        let retired = self.cell.swap(Arc::clone(&new));
+        let retired = std::mem::replace(&mut *self.live.lock().unwrap(), Arc::clone(&new));
         let flip_ns = self.clock.nanos().saturating_sub(t0);
         drop(old);
 
@@ -596,6 +580,24 @@ mod tests {
         assert_eq!(before.index().generation(), gen_a);
         assert_eq!(before.query(0, 2).unwrap(), ans_a);
         assert_eq!(hot.stats().reloads, 1);
+    }
+
+    #[test]
+    fn retired_index_drains_once_readers_release() {
+        let hot = HotSwapIndex::fixed(IndexOptions::default().build(tiny_snapshot()));
+        let reader = hot.current();
+        let retired = Arc::downgrade(&reader);
+        hot.swap_in({
+            let mut s = tiny_snapshot();
+            s.emb2[0] += 0.5;
+            s
+        });
+        // A request that took the old index before the flip keeps it alive.
+        assert_eq!(hot.stats().draining_generations, 1);
+        assert!(reader.query(0, 1).is_ok());
+        drop(reader);
+        assert_eq!(hot.stats().draining_generations, 0);
+        assert!(retired.upgrade().is_none(), "the drained index is freed");
     }
 
     #[test]

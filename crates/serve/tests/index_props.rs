@@ -1,5 +1,5 @@
-//! Property suite for the serving layer's LRU answer cache and query
-//! micro-batcher, on the `props!` harness.
+//! Property suite for the serving layer's LRU answer cache and batched
+//! query path, on the `props!` harness.
 //!
 //! Two contracts are pinned here:
 //!
@@ -8,17 +8,15 @@
 //!   recently inserted for that *full* key, so an answer computed for one
 //!   `(entity, k, metric)` can never surface for a different `k` or a
 //!   different metric, and occupancy never exceeds capacity.
-//! * **Batching is unobservable** — whatever batch size, thread count and
-//!   interleaving the micro-batcher picks, every query's answer is
-//!   bit-identical to the dense `compute_naive` reference under the shared
-//!   tie rule (descending score, lowest target index wins).
+//! * **Batching is unobservable** — whatever group size, thread count and
+//!   interleaving of concurrent `query_batch` callers, every query's
+//!   answer is bit-identical to the dense `compute_naive` reference under
+//!   the shared tie rule (descending score, lowest target index wins).
 
 use openea_align::{AnnConfig, Metric, SimilarityMatrix};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
 use openea_runtime::testkit::prelude::*;
 use openea_serve::{AlignmentIndex, Answer, BatchIndex, CacheKey, LruCache, Probe, Snapshot};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// The value an entry for `key` must carry — derived from the *full* key
 /// (probe and generation included) so any stale or cross-key answer is
@@ -196,6 +194,30 @@ fn dense_answers(snap: &Snapshot, queries: &[(u32, usize)]) -> Vec<Answer> {
         .collect()
 }
 
+/// Group sizes the batched-path properties split their queries into.
+const GROUPS: [usize; 3] = [1, 7, 64];
+
+/// Answers `queries` through [`BatchIndex::query_batch`] in groups of
+/// `group`, one concurrent caller per group; answers come back in query
+/// order.
+fn answer_in_groups(
+    index: &BatchIndex,
+    queries: &[(u32, usize, Option<Probe>)],
+    group: usize,
+) -> Vec<Answer> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = queries
+            .chunks(group)
+            .map(|chunk| s.spawn(move || index.query_batch(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("no panic"))
+            .map(|r| r.expect("validated query"))
+            .collect()
+    })
+}
+
 fn bit_equal(a: &Answer, b: &Answer) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -206,10 +228,11 @@ fn bit_equal(a: &Answer, b: &Answer) -> bool {
 props! {
     #![cases = 24]
 
-    /// Per-query answers through the micro-batcher are bit-identical to the
-    /// dense reference regardless of batch size, kernel thread count, cache
-    /// capacity or which concurrent queries shared a sweep — and asking
-    /// again (a guaranteed cache hit on the second pass) changes nothing.
+    /// Per-query answers through `query_batch` are bit-identical to the
+    /// dense reference regardless of group size, kernel thread count, cache
+    /// capacity or which concurrent callers ran beside it — and asking
+    /// again (a cache hit on the second pass unless the cache evicts)
+    /// changes nothing.
     #[test]
     fn batched_answers_equal_dense_reference(
         seed in 0u64..10_000,
@@ -235,35 +258,27 @@ props! {
             trace: Default::default(),
             lineage: None,
         };
-        let queries: Vec<(u32, usize)> =
-            raw_queries.iter().map(|&(e, k)| (e % n1 as u32, k.min(n2))).collect();
-        let expected = dense_answers(&snap, &queries);
+        let queries: Vec<(u32, usize, Option<Probe>)> = raw_queries
+            .iter()
+            .map(|&(e, k)| (e % n1 as u32, k.min(n2), None))
+            .collect();
+        let pairs: Vec<(u32, usize)> = queries.iter().map(|&(e, k, _)| (e, k)).collect();
+        let expected = dense_answers(&snap, &pairs);
 
-        for &max_batch in &[1usize, 7, 64] {
+        for group in GROUPS {
             for &threads in &[1usize, 2, 8] {
-                let index = Arc::new(BatchIndex::new(
+                let index = BatchIndex::new(
                     AlignmentIndex::new(snap.clone()),
                     threads,
-                    max_batch,
-                    Duration::from_micros(100),
                     // Exercise cache-off, tiny (evicting) and ample caches.
                     [0, 2, 64][(seed % 3) as usize],
-                ));
+                );
                 for pass in 0..2 {
-                    let answers: Vec<Answer> = std::thread::scope(|s| {
-                        let handles: Vec<_> = queries
-                            .iter()
-                            .map(|&(e, k)| {
-                                let ix = Arc::clone(&index);
-                                s.spawn(move || ix.query(e, k).expect("validated query"))
-                            })
-                            .collect();
-                        handles.into_iter().map(|h| h.join().expect("no panic")).collect()
-                    });
+                    let answers = answer_in_groups(&index, &queries, group);
                     for (i, (got, want)) in answers.iter().zip(&expected).enumerate() {
                         prop_assert!(
                             bit_equal(got, want),
-                            "pass {pass} batch {max_batch} threads {threads} query {i} \
+                            "pass {pass} group {group} threads {threads} query {i} \
                              {:?}: got {got:?}, want {want:?}",
                             queries[i]
                         );
@@ -299,13 +314,7 @@ props! {
             trace: Default::default(),
             lineage: None,
         };
-        let index = BatchIndex::new(
-            AlignmentIndex::new(snap),
-            1,
-            4,
-            Duration::from_micros(50),
-            8,
-        );
+        let index = BatchIndex::new(AlignmentIndex::new(snap), 1, 8);
         let res = index.query(entity, k);
         if entity as usize >= n1 || k == 0 {
             prop_assert!(res.is_err(), "expected a typed rejection, got {res:?}");
@@ -315,12 +324,12 @@ props! {
         }
     }
 
-    /// Mixed-probe batches through the micro-batcher: every query's answer
+    /// Mixed-probe batches through `query_batch`: every query's answer
     /// equals its own single-query reference — `Exact` the dense sweep,
     /// `Nprobe(n)` the [`IvfIndex::search`] of that width — regardless of
-    /// batch size, thread count, or which probes shared a batch. Pins the
-    /// leader's group-by-probe sweep (the batch-max-k truncation trick is
-    /// only sound within one probe group).
+    /// group size, thread count, or which probes shared a batch. Pins the
+    /// group-by-probe sweep (the batch-max-k truncation trick is only sound
+    /// within one probe group).
     #[test]
     fn mixed_probe_batches_answer_per_probe_references(
         seed in 0u64..10_000,
@@ -360,14 +369,12 @@ props! {
             })
             .collect();
 
-        for &threads in &[1usize, 4] {
-            let index = Arc::new(BatchIndex::new(
+        for (group, threads) in GROUPS.into_iter().flat_map(|g| [(g, 1usize), (g, 4)]) {
+            let index = BatchIndex::new(
                 AlignmentIndex::with_ann(snap.clone(), &cfg, threads),
                 threads,
-                8,
-                Duration::from_micros(100),
                 64,
-            ));
+            );
             let ivf = index.index().ann().expect("built with ann");
             let default_probe = index.default_probe();
             let expected: Vec<Answer> = queries
@@ -381,20 +388,12 @@ props! {
                 })
                 .collect();
             for pass in 0..2 {
-                let answers: Vec<Answer> = std::thread::scope(|s| {
-                    let handles: Vec<_> = queries
-                        .iter()
-                        .map(|&(e, k, probe)| {
-                            let ix = Arc::clone(&index);
-                            s.spawn(move || ix.query_probed(e, k, probe).expect("valid"))
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("no panic")).collect()
-                });
+                let answers = answer_in_groups(&index, &queries, group);
                 for (i, (got, want)) in answers.iter().zip(&expected).enumerate() {
                     prop_assert!(
                         bit_equal(got, want),
-                        "pass {pass} threads {threads} query {i} {:?}: got {got:?}, want {want:?}",
+                        "pass {pass} group {group} threads {threads} query {i} {:?}: \
+                         got {got:?}, want {want:?}",
                         queries[i]
                     );
                 }
@@ -433,13 +432,7 @@ fn exact_and_probed_answers_never_alias_in_the_cache() {
         nlist: 2,
         ..Default::default()
     };
-    let index = BatchIndex::new(
-        AlignmentIndex::with_ann(snap.clone(), &cfg, 1),
-        1,
-        4,
-        Duration::from_micros(50),
-        64,
-    );
+    let index = BatchIndex::new(AlignmentIndex::with_ann(snap.clone(), &cfg, 1), 1, 64);
     let exact_want = dense_answers(&snap, &[(0, n2)]).remove(0);
     let probed_want = index
         .index()

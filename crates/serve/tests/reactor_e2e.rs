@@ -1,5 +1,5 @@
-//! The event-driven serving core, end to end: differential bit-identity
-//! against the blocking baseline, adversarial clients against the
+//! The event-driven serving core, end to end: golden response bytes for
+//! every route and error shape, adversarial clients against the
 //! incremental parser, graceful shutdown, admission control, and the
 //! `/stats` connection gauges.
 
@@ -7,9 +7,7 @@ use openea_align::Metric;
 use openea_approaches::ApproachOutput;
 use openea_runtime::json::{self, Json};
 use openea_runtime::rng::{Rng, SeedableRng, SmallRng};
-use openea_serve::{
-    serve, AlignmentIndex, BatchIndex, ServerHandle, ServerMode, ServerOptions, Snapshot,
-};
+use openea_serve::{serve, AlignmentIndex, BatchIndex, ServerHandle, ServerOptions, Snapshot};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -37,8 +35,6 @@ fn tiny_index(seed: u64) -> Arc<BatchIndex> {
     Arc::new(BatchIndex::new(
         AlignmentIndex::new(tiny_snapshot(40, 50, 8, seed)),
         2,
-        8,
-        Duration::from_micros(200),
         128,
     ))
 }
@@ -55,9 +51,7 @@ fn connect(addr: SocketAddr) -> TcpStream {
 }
 
 /// Reads one complete HTTP response; returns (status, headers, body, raw).
-fn read_response(
-    reader: &mut BufReader<TcpStream>,
-) -> (u16, Vec<(String, String)>, String, Vec<u8>) {
+fn read_response(reader: &mut impl BufRead) -> (u16, Vec<(String, String)>, String, Vec<u8>) {
     let mut raw = Vec::new();
     let mut status_line = String::new();
     reader.read_line(&mut status_line).expect("status line");
@@ -128,31 +122,19 @@ fn wait_for_stats(addr: SocketAddr, pred: impl Fn(&Json) -> bool, what: &str) ->
 
 // ---------------------------------------------------------------------------
 
-/// The core contract of the refactor: the reactor and the blocking
-/// baseline answer every request — valid, erroneous, or probing — with
-/// byte-identical responses over the same index.
+/// Every route and error shape answers with the exact bytes pinned in
+/// `fixtures/reactor_golden.http`: the nine responses below, back to back.
+/// Any byte that moves changes the wire format, so the fixture is only
+/// ever regenerated on purpose.
 #[test]
-fn reactor_answers_are_bit_identical_to_blocking() {
-    let index = tiny_index(7);
-    let mut blocking = start(
-        Arc::clone(&index),
-        ServerOptions {
-            mode: ServerMode::Blocking,
-            ..Default::default()
-        },
-    );
-    let mut reactor = start(
-        Arc::clone(&index),
-        ServerOptions {
-            mode: ServerMode::Reactor,
-            ..Default::default()
-        },
-    );
-
+fn reactor_answers_match_golden_bytes() {
+    let mut server = start(tiny_index(7), ServerOptions::default());
+    let golden = include_bytes!("fixtures/reactor_golden.http");
+    let mut expected = BufReader::new(&golden[..]);
     let paths = [
         "/align?entity=0&k=5",
         "/align?entity=17&k=3&nprobe=0",
-        "/align?entity=39&k=64",          // k past n2: clamped identically
+        "/align?entity=39&k=64",          // k past n2: clamped
         "/align?entity=99&k=5",           // out of range: 404
         "/align?k=5",                     // missing entity: 400
         "/align?entity=3&k=0",            // zero k: 400
@@ -161,27 +143,27 @@ fn reactor_answers_are_bit_identical_to_blocking() {
         "/nope",
     ];
     for path in paths {
-        let mut answers = Vec::new();
-        for addr in [blocking.addr(), reactor.addr()] {
-            let mut conn = connect(addr);
-            conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-                .unwrap();
-            let mut reader = BufReader::new(conn.try_clone().unwrap());
-            let (_, _, _, raw) = read_response(&mut reader);
-            answers.push(raw);
-        }
+        let mut conn = connect(server.addr());
+        conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+            .unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let (_, _, _, got) = read_response(&mut reader);
+        let (_, _, _, want) = read_response(&mut expected);
         assert_eq!(
-            String::from_utf8_lossy(&answers[0]),
-            String::from_utf8_lossy(&answers[1]),
-            "divergent response for {path}"
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want),
+            "response for {path} differs from the golden bytes"
         );
     }
-    blocking.stop();
-    reactor.stop();
+    assert!(
+        expected.fill_buf().unwrap().is_empty(),
+        "one golden response per path"
+    );
+    server.stop();
 }
 
 /// A pipelined burst on one connection comes back complete, in request
-/// order, and lands in the micro-batching path (`pipelined_batches`).
+/// order, and is answered as one batch (`pipelined_batches`).
 #[test]
 fn pipelined_burst_is_ordered_and_batched() {
     let index = tiny_index(11);
@@ -451,8 +433,21 @@ fn conn_limit_sheds_at_accept() {
     );
 
     // Releasing one held connection frees a slot (checked through the
-    // stats route, which itself needs that free slot to connect).
-    drop(held.pop());
+    // stats route, which itself needs that free slot to connect). The
+    // server closes it on `Connection: close`, and the reactor frees the
+    // slot before it closes the socket, so reading to EOF proves the slot
+    // is free before the stats probe connects.
+    let mut release = held.pop().unwrap();
+    release
+        .write_all(b"GET /health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut reader = BufReader::new(release);
+    assert_eq!(read_response(&mut reader).0, 200);
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("server closes the connection");
+    assert!(rest.is_empty());
     let stats = wait_for_stats(
         addr,
         |s| get_i64(s.get("shed_total").unwrap(), "conn_limit") >= 1,
